@@ -266,3 +266,44 @@ func BenchmarkServingMutationChurnEdgeScoped(b *testing.B) {
 func BenchmarkServingMutationChurnGlobalGen(b *testing.B) {
 	runChurn(b, churnService(b, -1))
 }
+
+// BenchmarkServingCompaction: the write side of serving — per op, one
+// tagging action and then one friendship, each folded into the
+// queryable snapshot on its own (Flush): the store-only and graph-only
+// delta merges, the engine swap, cache invalidation and the view
+// publish. Writes name existing users, items and tags only, so every op
+// does the same work and allocs/op is exact.
+func BenchmarkServingCompaction(b *testing.B) {
+	svc, _ := servingService(b, 0)
+	st := svc.Stats()
+	rng := rand.New(rand.NewSource(11))
+	const writes = 64
+	type write struct{ a, b, item, tag string }
+	ws := make([]write, writes)
+	for i := range ws {
+		a := rng.Intn(st.Users)
+		ws[i] = write{
+			a:    fmt.Sprintf("u%d", a),
+			b:    fmt.Sprintf("u%d", (a+1+rng.Intn(st.Users-1))%st.Users),
+			item: fmt.Sprintf("i%d", rng.Intn(st.Items)),
+			tag:  fmt.Sprintf("t%d", rng.Intn(st.Tags)),
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := ws[i%writes]
+		if err := svc.Tag(w.a, w.item, w.tag); err != nil {
+			b.Fatal(err)
+		}
+		if err := svc.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if err := svc.Befriend(w.a, w.b, 0.5); err != nil {
+			b.Fatal(err)
+		}
+		if err := svc.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -72,7 +72,7 @@ func (e *Engine) SocialMergeInto(q Query, opts Options, ans *Answer) error {
 // exactly once.
 func (e *Engine) socialMergeRun(q Query, src userSource, h *SeekerHorizon, opts Options, ans *Answer) error {
 	run := e.acquireRun(q, opts)
-	defer e.releaseRun(run)
+	defer releaseRun(run)
 	if h != nil {
 		run.msrc = materializedSource{list: h.list, residual: h.residual}
 		src = &run.msrc
@@ -94,7 +94,7 @@ func (e *Engine) socialMergeRun(q Query, src userSource, h *SeekerHorizon, opts 
 
 // mergeRun is the per-query working state of SocialMerge: the candidate
 // table with its incremental top-k, the per-tag cursors, and the access
-// accounting. Runs are recycled through the engine's pool so the warm
+// accounting. Runs are recycled through the package pool so the warm
 // read path performs no allocation; everything here is either reset or
 // overwritten by acquireRun.
 type mergeRun struct {
@@ -137,11 +137,18 @@ type mergeRun struct {
 	msrc materializedSource
 }
 
-// acquireRun checks a recycled run out of the engine pool and resets it
-// for the query. All retained storage (tag buffer, cursor slices, the
+// runs recycles mergeRuns across every engine. The pool is package-level
+// (the candidate table resizes to any universe) and a pooled run holds no
+// engine, graph or store reference, so it never keeps a superseded
+// snapshot alive: a per-engine pool would pin every engine queried
+// within the last two GC cycles, graph and store included.
+var runs sync.Pool
+
+// acquireRun checks a recycled run out of the pool and resets it for
+// the query. All retained storage (tag buffer, cursor slices, the
 // candidate table's arrays) is reused.
 func (e *Engine) acquireRun(q Query, opts Options) *mergeRun {
-	r, _ := e.runs.Get().(*mergeRun)
+	r, _ := runs.Get().(*mergeRun)
 	if r == nil {
 		r = &mergeRun{}
 	}
@@ -185,17 +192,16 @@ func (e *Engine) acquireRun(q Query, opts Options) *mergeRun {
 	return r
 }
 
-func (e *Engine) releaseRun(r *mergeRun) {
+// releaseRun returns r to the pool, dropping every reference into the
+// engine's snapshot (engine, posting lists, horizon) first.
+func releaseRun(r *mergeRun) {
+	r.e = nil
 	for i := range r.lists {
-		r.lists[i] = nil // do not pin posting lists while pooled
+		r.lists[i] = nil
 	}
 	r.msrc = materializedSource{}
-	e.runs.Put(r)
+	runs.Put(r)
 }
-
-// runPool is the engine-scoped mergeRun pool type; a dedicated type
-// keeps the Engine declaration readable.
-type runPool = sync.Pool
 
 // barSum returns Σ_t bar(t): the sum over query tags of the frequency at
 // the current global-list cursor (0 for exhausted lists). Any item never

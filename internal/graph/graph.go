@@ -11,8 +11,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -49,13 +51,29 @@ func (b *Builder) AddEdge(u, v UserID, weight float64) {
 // dedup).
 func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
 
-// Build validates and freezes the accumulated edges into a Graph.
+// Build validates and freezes the accumulated edges into a Graph: a
+// Merge onto the empty graph, so construction and overlay compaction
+// share one path.
 func (b *Builder) Build() (*Graph, error) {
-	n := b.numUsers
+	return (&Graph{}).Merge(b.numUsers, b.edges)
+}
+
+// Merge returns a new graph over numUsers vertices (at least g's) with
+// g's edges plus delta. Delta edges may come in any order and either
+// orientation and may repeat; duplicates, and edges g already has, keep
+// the maximum weight, so re-declaring an edge at a lower weight changes
+// nothing. g is not modified. The delta is validated, canonicalized and
+// sorted, then merged with g's canonical edge list in one linear pass
+// and handed to FromSortedEdges — O(V + E + delta·log delta), no map.
+func (g *Graph) Merge(numUsers int, delta []Edge) (*Graph, error) {
+	n := numUsers
 	if n < 0 {
 		return nil, errors.New("graph: negative user count")
 	}
-	for _, e := range b.edges {
+	if n < g.numUsers {
+		return nil, fmt.Errorf("graph: user count %d shrinks below %d", n, g.numUsers)
+	}
+	for _, e := range delta {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
 		}
@@ -66,83 +84,39 @@ func (b *Builder) Build() (*Graph, error) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) weight %g outside (0,1]", e.U, e.V, e.Weight)
 		}
 	}
-	// Normalize to (min,max) key and dedup keeping max weight.
-	type key struct{ a, b UserID }
-	best := make(map[key]float64, len(b.edges))
-	for _, e := range b.edges {
-		u, v := e.U, e.V
-		if u > v {
-			u, v = v, u
+	d := make([]Edge, len(delta))
+	for i, e := range delta {
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
 		}
-		k := key{u, v}
-		if w, ok := best[k]; !ok || e.Weight > w {
-			best[k] = e.Weight
+		d[i] = e
+	}
+	slices.SortFunc(d, cmpEdge)
+	base := g.Edges()
+	merged := make([]Edge, 0, len(base)+len(d))
+	i, j := 0, 0
+	for i < len(base) || j < len(d) {
+		var e Edge
+		if j == len(d) || (i < len(base) && cmpEdge(base[i], d[j]) < 0) {
+			e, i = base[i], i+1
+		} else {
+			e, j = d[j], j+1
 		}
-	}
-	uniq := make([]Edge, 0, len(best))
-	for k, w := range best {
-		uniq = append(uniq, Edge{U: k.a, V: k.b, Weight: w})
-	}
-	sort.Slice(uniq, func(i, j int) bool {
-		if uniq[i].U != uniq[j].U {
-			return uniq[i].U < uniq[j].U
+		if last := len(merged) - 1; last >= 0 && cmpEdge(merged[last], e) == 0 {
+			merged[last].Weight = max(merged[last].Weight, e.Weight)
+			continue
 		}
-		return uniq[i].V < uniq[j].V
-	})
-
-	deg := make([]int32, n+1)
-	for _, e := range uniq {
-		deg[e.U+1]++
-		deg[e.V+1]++
+		merged = append(merged, e)
 	}
-	for i := 0; i < n; i++ {
-		deg[i+1] += deg[i]
-	}
-	m2 := int(deg[n]) // 2 * |E|
-	adj := make([]UserID, m2)
-	wts := make([]float64, m2)
-	cursor := make([]int32, n)
-	copy(cursor, deg[:n])
-	insert := func(from, to UserID, w float64) {
-		p := cursor[from]
-		adj[p] = to
-		wts[p] = w
-		cursor[from]++
-	}
-	for _, e := range uniq {
-		insert(e.U, e.V, e.Weight)
-		insert(e.V, e.U, e.Weight)
-	}
-	g := &Graph{
-		numUsers: n,
-		offsets:  deg,
-		adj:      adj,
-		weights:  wts,
-	}
-	// Sort each adjacency slice by neighbour id for deterministic
-	// iteration and binary-searchable HasEdge.
-	for u := 0; u < n; u++ {
-		lo, hi := g.offsets[u], g.offsets[u+1]
-		sort.Sort(nbrSorter{adj: adj, wts: wts, lo: int(lo), n: int(hi - lo)})
-	}
-	return g, nil
+	return FromSortedEdges(n, merged)
 }
 
-type nbrSorter struct {
-	adj []UserID
-	wts []float64
-	lo  int
-	n   int
-}
-
-func (s nbrSorter) Len() int { return s.n }
-func (s nbrSorter) Less(i, j int) bool {
-	return s.adj[s.lo+i] < s.adj[s.lo+j]
-}
-func (s nbrSorter) Swap(i, j int) {
-	a, b := s.lo+i, s.lo+j
-	s.adj[a], s.adj[b] = s.adj[b], s.adj[a]
-	s.wts[a], s.wts[b] = s.wts[b], s.wts[a]
+// cmpEdge orders canonical edges by (U, V), ignoring the weight.
+func cmpEdge(a, b Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
 }
 
 // FromSortedEdges builds a Graph directly from edges that are already

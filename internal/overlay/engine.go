@@ -10,10 +10,10 @@ import (
 )
 
 // Engine is a queryable view over an Overlay: it rebuilds the immutable
-// core.Engine whenever a compaction changed the snapshot, and can be
-// configured to compact automatically after a number of mutations.
-// Reads and writes may proceed concurrently; queries always run on a
-// consistent snapshot.
+// core.Engine whenever a compaction changed either half of the
+// snapshot, and can be configured to compact automatically after a
+// number of mutations. Reads and writes may proceed concurrently;
+// queries always run on a consistent snapshot.
 type Engine struct {
 	overlay *Overlay
 	cfg     core.Config
@@ -25,7 +25,10 @@ type Engine struct {
 	mu        sync.Mutex
 	engine    *core.Engine
 	mutations int
-	engGraph  *graph.Graph // snapshot the current engine was built from
+	// snapshot the current engine was built from; a fold may replace
+	// either half alone, so both are compared
+	engGraph *graph.Graph
+	engStore *tagstore.Store
 }
 
 // NewEngine wraps an overlay with query capability. autoCompactEvery
@@ -46,7 +49,7 @@ func (e *Engine) refresh() error {
 	g, s := e.overlay.Snapshot()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.engine != nil && g == e.engGraph {
+	if e.engine != nil && g == e.engGraph && s == e.engStore {
 		return nil
 	}
 	eng, err := core.NewEngine(g, s, e.cfg)
@@ -54,7 +57,7 @@ func (e *Engine) refresh() error {
 		return err
 	}
 	e.engine = eng
-	e.engGraph = g
+	e.engGraph, e.engStore = g, s
 	return nil
 }
 

@@ -1,7 +1,7 @@
 // Package overlay adds dynamic updates on top of the immutable base
 // structures: new tagging actions and new/strengthened friendships
 // accumulate in a mutable delta that queries see immediately, and a
-// compaction step folds the delta back into fresh immutable base
+// compaction step merges the delta into new immutable snapshot
 // structures. This is the "handling evolving networks" extension the
 // evaluation's future-work discussion calls for.
 //
@@ -148,41 +148,31 @@ func (o *Overlay) Tag(user graph.UserID, item tagstore.ItemID, tag tagstore.TagI
 }
 
 // Compact folds all pending mutations (and any universe growth) into
-// fresh immutable snapshot structures. It is idempotent when nothing is
-// pending. Compaction cost is O(base + delta); amortize it by batching
-// mutations.
+// new immutable snapshot structures by delta merge (graph.Graph.Merge,
+// tagstore.Store.Merge): one linear pass over the snapshot plus a sort
+// of the delta, O(base + delta·log delta), with no hashing. Only the
+// half that changed is rebuilt — tags touch the store, friendships the
+// graph, new users both. It is idempotent when nothing is pending.
 func (o *Overlay) Compact() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if len(o.pendingEdges) == 0 && len(o.pendingTriples) == 0 &&
-		o.snapGraph.NumUsers() == o.numUsers &&
-		o.snapStore.NumItems() == o.numItems &&
-		o.snapStore.NumTags() == o.numTags {
+	usersGrew := o.snapGraph.NumUsers() != o.numUsers
+	storeGrew := usersGrew || o.snapStore.NumItems() != o.numItems || o.snapStore.NumTags() != o.numTags
+	if len(o.pendingEdges) == 0 && len(o.pendingTriples) == 0 && !storeGrew {
 		return nil
 	}
 
-	gb := graph.NewBuilder(o.numUsers)
-	for _, e := range o.snapGraph.Edges() {
-		gb.AddEdge(e.U, e.V, e.Weight)
+	g, s := o.snapGraph, o.snapStore
+	var err error
+	if len(o.pendingEdges) > 0 || usersGrew {
+		if g, err = g.Merge(o.numUsers, o.pendingEdges); err != nil {
+			return fmt.Errorf("overlay: compacting graph: %w", err)
+		}
 	}
-	for _, e := range o.pendingEdges {
-		gb.AddEdge(e.U, e.V, e.Weight)
-	}
-	g, err := gb.Build()
-	if err != nil {
-		return fmt.Errorf("overlay: compacting graph: %w", err)
-	}
-
-	tb := tagstore.NewBuilder(o.numUsers, o.numItems, o.numTags)
-	for _, tr := range o.snapStore.Triples() {
-		tb.AddCount(tr.User, tr.Item, tr.Tag, tr.Count)
-	}
-	for _, tr := range o.pendingTriples {
-		tb.AddCount(tr.User, tr.Item, tr.Tag, tr.Count)
-	}
-	s, err := tb.Build()
-	if err != nil {
-		return fmt.Errorf("overlay: compacting store: %w", err)
+	if len(o.pendingTriples) > 0 || storeGrew {
+		if s, err = s.Merge(o.numUsers, o.numItems, o.numTags, o.pendingTriples); err != nil {
+			return fmt.Errorf("overlay: compacting store: %w", err)
+		}
 	}
 
 	o.snapGraph = g

@@ -320,3 +320,72 @@ func TestConcurrentMutateAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEngineSeesTagOnlyFold: a fold of tags alone keeps the graph
+// pointer, and the engine must still notice the new store — refresh
+// keys on the (graph, store) pair, not the graph alone.
+func TestEngineSeesTagOnlyFold(t *testing.T) {
+	g, s := base(t)
+	o, err := New(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(o, core.DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := core.Query{Seeker: 0, Tags: []tagstore.TagID{0}, K: 5}
+	if ans, err := e.SocialMerge(q, core.Options{}); err != nil || len(ans.Results) != 1 {
+		t.Fatalf("base answer = %v, %v", ans.Results, err)
+	}
+	if err := e.Tag(1, 1, 0); err != nil { // friend u1 tags item 1
+		t.Fatal(err)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if sg, ss := o.Snapshot(); sg != g || ss == s {
+		t.Fatalf("tag-only fold: graph replaced %v, store replaced %v; want graph kept, store replaced", sg != g, ss != s)
+	}
+	ans, err := e.SocialMerge(q, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Results) != 2 || ans.Results[1].Item != 1 || math.Abs(ans.Results[1].Score-0.5) > 1e-12 {
+		t.Fatalf("tag-only fold invisible to the next query: %v", ans.Results)
+	}
+}
+
+// TestEngineSeesBefriendOnlyFold: a fold of friendships alone keeps the
+// store pointer, and the next query must see the new graph.
+func TestEngineSeesBefriendOnlyFold(t *testing.T) {
+	g, s := base(t)
+	o, err := New(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(o, core.DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := core.Query{Seeker: 0, Tags: []tagstore.TagID{0}, K: 5}
+	if _, err := e.SocialMerge(q, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Befriend(1, 0, 0.9); err != nil { // strengthen 0–1 from 0.5
+		t.Fatal(err)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if sg, ss := o.Snapshot(); sg == g || ss != s {
+		t.Fatalf("befriend-only fold: graph replaced %v, store replaced %v; want graph replaced, store kept", sg != g, ss != s)
+	}
+	ans, err := e.SocialMerge(q, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Results) != 1 || math.Abs(ans.Results[0].Score-0.9) > 1e-12 {
+		t.Fatalf("befriend-only fold invisible to the next query: %v", ans.Results)
+	}
+}

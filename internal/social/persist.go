@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/overlay"
 	"repro/internal/tagstore"
 	"repro/internal/vocab"
@@ -65,5 +66,6 @@ func Restore(cfg ServiceConfig, g *graph.Graph, st *tagstore.Store, names *vocab
 	if err != nil {
 		return nil, err
 	}
-	return &Service{cfg: cfg, caches: caches, names: names, overlay: o, engine: eng}, nil
+	return &Service{cfg: cfg, caches: caches, names: names, overlay: o, engine: eng,
+		compactLat: metrics.NewHistogram(compactLatencyWindow)}, nil
 }

@@ -24,6 +24,7 @@ import (
 	"reflect"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -50,6 +51,9 @@ const (
 	// edges one compaction invalidates by scope; past it the service
 	// falls back to one global invalidation (cheaper than enumerating).
 	DefaultEdgeScopeLimit = 256
+	// compactLatencyWindow is the trailing window Stats.CompactLatency
+	// summarizes.
+	compactLatencyWindow = time.Minute
 )
 
 // ServiceConfig tunes a Service.
@@ -148,6 +152,10 @@ type Service struct {
 	// with its certified score bound.
 	degradeHook atomic.Value // func(*search.Request) bool
 
+	// compactLat times every fold of pending writes into the queryable
+	// snapshot (see compactLocked); it is only written on the write path.
+	compactLat *metrics.Histogram
+
 	mu           sync.Mutex
 	names        *vocab.Set
 	overlay      *overlay.Overlay
@@ -232,7 +240,8 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{cfg: cfg, caches: caches, names: vocab.NewSet()}
+	s := &Service{cfg: cfg, caches: caches, names: vocab.NewSet(),
+		compactLat: metrics.NewHistogram(compactLatencyWindow)}
 	if err := s.initEmpty(); err != nil {
 		return nil, err
 	}
@@ -393,8 +402,11 @@ func (s *Service) noteWrite() error {
 // edges accumulated — or edge scoping is disabled — the service falls
 // back to one global invalidation. Tag-only compactions leave the
 // cache untouched — tags live in the store, not the graph, so horizons
-// stay exact. Callers hold s.mu.
+// stay exact. A call that folded something is timed into
+// Stats.CompactLatency. Callers hold s.mu.
 func (s *Service) compactLocked() error {
+	start := time.Now()
+	folds := s.overlay.Compactions()
 	if err := s.engine.Compact(); err != nil {
 		return err
 	}
@@ -414,6 +426,9 @@ func (s *Service) compactLocked() error {
 		}
 	}
 	s.publishLocked()
+	if s.overlay.Compactions() != folds {
+		s.compactLat.Observe(time.Since(start))
+	}
 	return nil
 }
 
@@ -706,6 +721,10 @@ type Stats struct {
 	Users, Items, Tags int
 	PendingWrites      int
 	Compactions        int
+	// CompactLatency summarizes, over the trailing minute, how long each
+	// fold of pending writes into the queryable snapshot took: the delta
+	// merge, the engine swap, cache invalidation and the view publish.
+	CompactLatency metrics.HistogramSnapshot
 	// AppliedLSN is the replication cursor (0 outside fleet-replica
 	// posture): the highest replication log LSN processed.
 	AppliedLSN uint64
@@ -727,12 +746,13 @@ func (s *Service) Stats() Stats {
 	defer s.mu.Unlock()
 	pe, pt := s.overlay.Pending()
 	st := Stats{
-		Users:         s.names.Users.Len(),
-		Items:         s.names.Items.Len(),
-		Tags:          s.names.Tags.Len(),
-		PendingWrites: pe + pt,
-		Compactions:   s.overlay.Compactions(),
-		AppliedLSN:    s.appliedLSN,
+		Users:          s.names.Users.Len(),
+		Items:          s.names.Items.Len(),
+		Tags:           s.names.Tags.Len(),
+		PendingWrites:  pe + pt,
+		Compactions:    s.overlay.Compactions(),
+		CompactLatency: s.compactLat.Snapshot(),
+		AppliedLSN:     s.appliedLSN,
 	}
 	if s.caches != nil {
 		st.SeekerCache = s.caches.Counters()

@@ -4,18 +4,22 @@
 //
 //   - sequential access: per-tag global posting lists sorted by descending
 //     tag frequency, consumed front-to-back by threshold algorithms;
-//   - random access: O(1)-ish point lookups tf(u, i, t) and per-(user,tag)
-//     lists, consumed by the network-aware algorithm as the social
-//     frontier visits each user.
+//   - random access: per-(user,tag) lists and point lookups tf(u, i, t),
+//     each a binary search over flat sorted arrays, consumed by the
+//     network-aware algorithm as the social frontier visits each user.
 //
-// The store is immutable after Build; all query-time structures are
-// read-only and safe for concurrent use.
+// A store is immutable once built; all query-time structures are
+// read-only and safe for concurrent use. Merge folds a delta of new
+// triples into a new store in one linear pass over the old one, sharing
+// what the delta leaves untouched — the path both Builder.Build and
+// overlay compaction take.
 package tagstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ItemID is a dense item identifier in [0, NumItems).
@@ -71,55 +75,11 @@ func (b *Builder) AddCount(user int32, item ItemID, tag TagID, count int32) {
 	b.triples = append(b.triples, Triple{User: user, Item: item, Tag: tag, Count: count})
 }
 
-// Build validates and freezes the store.
+// Build validates and freezes the store: a Merge of the accumulated
+// triples onto an empty store, so building an index and folding a
+// delta into a live one share one code path.
 func (b *Builder) Build() (*Store, error) {
-	if b.numUsers < 0 || b.numItems < 0 || b.numTags < 0 {
-		return nil, errors.New("tagstore: negative universe size")
-	}
-	for _, tr := range b.triples {
-		if tr.User < 0 || int(tr.User) >= b.numUsers {
-			return nil, fmt.Errorf("tagstore: user %d outside [0,%d)", tr.User, b.numUsers)
-		}
-		if tr.Item < 0 || int(tr.Item) >= b.numItems {
-			return nil, fmt.Errorf("tagstore: item %d outside [0,%d)", tr.Item, b.numItems)
-		}
-		if tr.Tag < 0 || int(tr.Tag) >= b.numTags {
-			return nil, fmt.Errorf("tagstore: tag %d outside [0,%d)", tr.Tag, b.numTags)
-		}
-		if tr.Count <= 0 {
-			return nil, fmt.Errorf("tagstore: non-positive count %d", tr.Count)
-		}
-	}
-	// Merge duplicates.
-	merged := make(map[Triple]int32, len(b.triples))
-	for _, tr := range b.triples {
-		key := Triple{User: tr.User, Item: tr.Item, Tag: tr.Tag}
-		merged[key] += tr.Count
-	}
-	triples := make([]Triple, 0, len(merged))
-	for k, c := range merged {
-		k.Count = c
-		triples = append(triples, k)
-	}
-	sort.Slice(triples, func(i, j int) bool {
-		a, b := triples[i], triples[j]
-		if a.User != b.User {
-			return a.User < b.User
-		}
-		if a.Tag != b.Tag {
-			return a.Tag < b.Tag
-		}
-		return a.Item < b.Item
-	})
-
-	s := &Store{
-		numUsers: b.numUsers,
-		numItems: b.numItems,
-		numTags:  b.numTags,
-		triples:  triples,
-	}
-	s.buildIndexes()
-	return s, nil
+	return (&Store{}).Merge(b.numUsers, b.numItems, b.numTags, b.triples)
 }
 
 // Store is the immutable tagging store.
@@ -137,7 +97,9 @@ type Store struct {
 	// index j owns userPostings[utOff[j] : utOff[j]+utLen[j]]. A flat
 	// binary search over the (small) per-user tag segment replaces the
 	// packed-key hash lookups the random-access path used to pay per
-	// settled user — no hashing, no map runtime, cache-local.
+	// settled user — no hashing, no map runtime, cache-local. The same
+	// range of triples holds the run sorted by item, which is what TF
+	// binary-searches.
 	utStart      []int32 // len numUsers+1
 	utTags       []TagID // parallel to utOff/utLen
 	utOff        []int32
@@ -152,125 +114,352 @@ type Store struct {
 	itTags  []TagID
 	itTF    []int32
 
-	// point lookup (user,item,tag) → count
-	point map[uint64]int32
-
 	totalAnnotations int64
 }
 
-func packUIT(user int32, item ItemID, tag TagID) uint64 {
-	// 21 bits each is plenty for the evaluated scales (≤ 2M ids); verify
-	// at build time.
-	return uint64(uint32(user))<<42 | uint64(uint32(item))<<21 | uint64(uint32(tag))
+// Merge returns a new store holding s's triples plus delta, over a
+// universe grown to the given sizes (which may not shrink below s's).
+// Delta triples need no order and may repeat; counts of equal
+// (user, item, tag) triples, within the delta and against s, are
+// summed. s is not modified, and the result shares the global posting
+// lists of every tag the delta does not touch.
+//
+// The cost is one linear pass over s's flat arrays plus a sort of the
+// delta — O(base + delta·log delta) — with no hashing: untouched user
+// and item segments are block-copied, and only the per-(user, tag)
+// runs, global lists and item segments the delta touches are re-merged.
+func (s *Store) Merge(numUsers, numItems, numTags int, delta []Triple) (*Store, error) {
+	if numUsers < 0 || numItems < 0 || numTags < 0 {
+		return nil, errors.New("tagstore: negative universe size")
+	}
+	if numUsers < s.numUsers || numItems < s.numItems || numTags < s.numTags {
+		return nil, fmt.Errorf("tagstore: universe (%d,%d,%d) shrinks below (%d,%d,%d)",
+			numUsers, numItems, numTags, s.numUsers, s.numItems, s.numTags)
+	}
+	var added int64
+	for _, tr := range delta {
+		if tr.User < 0 || int(tr.User) >= numUsers {
+			return nil, fmt.Errorf("tagstore: user %d outside [0,%d)", tr.User, numUsers)
+		}
+		if tr.Item < 0 || int(tr.Item) >= numItems {
+			return nil, fmt.Errorf("tagstore: item %d outside [0,%d)", tr.Item, numItems)
+		}
+		if tr.Tag < 0 || int(tr.Tag) >= numTags {
+			return nil, fmt.Errorf("tagstore: tag %d outside [0,%d)", tr.Tag, numTags)
+		}
+		if tr.Count <= 0 {
+			return nil, fmt.Errorf("tagstore: non-positive count %d", tr.Count)
+		}
+		added += int64(tr.Count)
+	}
+	d := coalesce(slices.Clone(delta), cmpUTI)
+
+	out := &Store{
+		numUsers:         numUsers,
+		numItems:         numItems,
+		numTags:          numTags,
+		totalAnnotations: s.totalAnnotations + added,
+	}
+	out.mergeUserRuns(s, d)
+
+	// (tag, item) aggregates of the delta, summed across users: they
+	// update the global lists (grouped by tag) and the item CSR
+	// (grouped by item).
+	agg := make([]Triple, len(d))
+	for i, tr := range d {
+		agg[i] = Triple{Item: tr.Item, Tag: tr.Tag, Count: tr.Count}
+	}
+	agg = coalesce(agg, cmpTI)
+	out.mergeGlobal(s, agg)
+	slices.SortFunc(agg, cmpIT)
+	out.mergeItems(s, agg)
+	return out, nil
 }
 
-const maxPackedID = 1 << 21
+// Triple orders: (user, tag, item) is the canonical store order;
+// (tag, item) and (item, tag) group the per-tag and per-item aggregates.
+func cmpUTI(a, b Triple) int {
+	if c := cmp.Compare(a.User, b.User); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Tag, b.Tag); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Item, b.Item)
+}
 
-func (s *Store) buildIndexes() {
-	// Global lists: aggregate per (tag, item).
-	type ti struct {
-		t TagID
-		i ItemID
+func cmpTI(a, b Triple) int {
+	if c := cmp.Compare(a.Tag, b.Tag); c != 0 {
+		return c
 	}
-	agg := make(map[ti]int32)
-	for _, tr := range s.triples {
-		agg[ti{tr.Tag, tr.Item}] += tr.Count
-		s.totalAnnotations += int64(tr.Count)
-	}
-	s.global = make([][]Posting, s.numTags)
-	for k, c := range agg {
-		s.global[k.t] = append(s.global[k.t], Posting{Item: k.i, TF: c})
-	}
-	s.maxTF = make([]int32, s.numTags)
-	for t := range s.global {
-		lst := s.global[t]
-		sort.Slice(lst, func(i, j int) bool {
-			if lst[i].TF != lst[j].TF {
-				return lst[i].TF > lst[j].TF
-			}
-			return lst[i].Item < lst[j].Item
-		})
-		if len(lst) > 0 {
-			s.maxTF[t] = lst[0].TF
-		}
-	}
+	return cmp.Compare(a.Item, b.Item)
+}
 
-	// Per-item tag CSR: the same (tag, item) aggregates keyed by item.
-	type it struct {
-		i ItemID
-		t TagID
-		c int32
+func cmpIT(a, b Triple) int {
+	if c := cmp.Compare(a.Item, b.Item); c != 0 {
+		return c
 	}
-	flat := make([]it, 0, len(agg))
-	for k, c := range agg {
-		flat = append(flat, it{i: k.i, t: k.t, c: c})
-	}
-	sort.Slice(flat, func(a, b int) bool {
-		if flat[a].i != flat[b].i {
-			return flat[a].i < flat[b].i
-		}
-		return flat[a].t < flat[b].t
-	})
-	s.itStart = make([]int32, s.numItems+1)
-	s.itTags = make([]TagID, len(flat))
-	s.itTF = make([]int32, len(flat))
-	cur := 0
-	for j, e := range flat {
-		for cur <= int(e.i) {
-			s.itStart[cur] = int32(j)
-			cur++
-		}
-		s.itTags[j] = e.t
-		s.itTF[j] = e.c
-	}
-	for ; cur <= s.numItems; cur++ {
-		s.itStart[cur] = int32(len(flat))
-	}
+	return cmp.Compare(a.Tag, b.Tag)
+}
 
-	// Per-(user,tag) lists and point index. The triples slice is already
-	// sorted by (user, tag, item), so runs are contiguous and the
-	// per-user CSR segments come out tag-sorted by construction.
-	s.point = make(map[uint64]int32, len(s.triples))
-	usePacked := s.numUsers < maxPackedID && s.numItems < maxPackedID && s.numTags < maxPackedID
-	if !usePacked {
-		// The packed point index would overflow; the evaluated scales
-		// never reach 2M ids, so treat it as a hard limit.
-		panic(fmt.Sprintf("tagstore: universe too large for packed index (%d users, %d items, %d tags)",
-			s.numUsers, s.numItems, s.numTags))
+// coalesce sorts trs by order and sums the counts of equal keys in
+// place, returning the deduplicated prefix.
+func coalesce(trs []Triple, order func(a, b Triple) int) []Triple {
+	slices.SortFunc(trs, order)
+	n := 0
+	for _, tr := range trs {
+		if n > 0 && order(trs[n-1], tr) == 0 {
+			trs[n-1].Count += tr.Count
+			continue
+		}
+		trs[n] = tr
+		n++
 	}
+	return trs[:n]
+}
+
+// byFreq orders posting lists by (TF desc, Item asc). Items are unique
+// within a list, so the order is total and every sort agrees.
+// UserPosting has Posting's layout and converts to it.
+func byFreq(a, b Posting) int {
+	if a.TF != b.TF {
+		return cmp.Compare(b.TF, a.TF)
+	}
+	return cmp.Compare(a.Item, b.Item)
+}
+
+// userStart is utStart[u] for users inside s's universe and the end of
+// the run index beyond it (the zero Store has no runs at all).
+func (s *Store) userStart(u int) int {
+	if u < len(s.utStart) {
+		return int(s.utStart[u])
+	}
+	return len(s.utTags)
+}
+
+// runOff is the triple offset of run r, or the triple count past the
+// last run.
+func (s *Store) runOff(r int) int {
+	if r < len(s.utOff) {
+		return int(s.utOff[r])
+	}
+	return len(s.triples)
+}
+
+// mergeUserRuns builds the canonical triples and the per-user CSR from
+// base plus the coalesced, canonically sorted delta d. Users d does not
+// touch are block-copied (offsets shifted); a touched user's runs are
+// merged tag by tag, and only runs that gained triples are re-sorted.
+func (s *Store) mergeUserRuns(base *Store, d []Triple) {
+	s.triples = make([]Triple, 0, len(base.triples)+len(d))
+	s.userPostings = make([]UserPosting, 0, len(base.triples)+len(d))
 	s.utStart = make([]int32, s.numUsers+1)
-	userCur := 0
-	i := 0
-	for i < len(s.triples) {
-		u, t := s.triples[i].User, s.triples[i].Tag
-		for userCur <= int(u) {
-			s.utStart[userCur] = int32(len(s.utTags))
-			userCur++
+	s.utTags = make([]TagID, 0, len(base.utTags)+len(d))
+	s.utOff = make([]int32, 0, len(base.utTags)+len(d))
+	s.utLen = make([]int32, 0, len(base.utTags)+len(d))
+
+	// copyUsers block-copies base users [from, to).
+	copyUsers := func(from, to int) {
+		rlo, rhi := base.userStart(from), base.userStart(to)
+		tlo, thi := base.runOff(rlo), base.runOff(rhi)
+		rshift, tshift := int32(len(s.utTags)-rlo), int32(len(s.triples)-tlo)
+		for u := from; u < to; u++ {
+			s.utStart[u] = int32(base.userStart(u)) + rshift
 		}
-		start := len(s.userPostings)
-		j := i
-		for j < len(s.triples) && s.triples[j].User == u && s.triples[j].Tag == t {
-			tr := s.triples[j]
-			s.userPostings = append(s.userPostings, UserPosting{Item: tr.Item, TF: tr.Count})
-			s.point[packUIT(tr.User, tr.Item, tr.Tag)] = tr.Count
-			j++
+		s.utTags = append(s.utTags, base.utTags[rlo:rhi]...)
+		for _, off := range base.utOff[rlo:rhi] {
+			s.utOff = append(s.utOff, off+tshift)
 		}
-		// order per-user list by TF desc for consistent consumption
-		seg := s.userPostings[start:]
-		sort.Slice(seg, func(a, b int) bool {
-			if seg[a].TF != seg[b].TF {
-				return seg[a].TF > seg[b].TF
-			}
-			return seg[a].Item < seg[b].Item
-		})
+		s.utLen = append(s.utLen, base.utLen[rlo:rhi]...)
+		s.triples = append(s.triples, base.triples[tlo:thi]...)
+		s.userPostings = append(s.userPostings, base.userPostings[tlo:thi]...)
+	}
+	// closeRun records the run of tag t that ends the triples slice.
+	closeRun := func(t TagID, start int) {
 		s.utTags = append(s.utTags, t)
 		s.utOff = append(s.utOff, int32(start))
-		s.utLen = append(s.utLen, int32(j-i))
-		i = j
+		s.utLen = append(s.utLen, int32(len(s.triples)-start))
 	}
-	for ; userCur <= s.numUsers; userCur++ {
-		s.utStart[userCur] = int32(len(s.utTags))
+	// copyRun copies base run r, which the delta does not touch.
+	copyRun := func(r int) {
+		off, n := int(base.utOff[r]), int(base.utLen[r])
+		start := len(s.triples)
+		s.triples = append(s.triples, base.triples[off:off+n]...)
+		s.userPostings = append(s.userPostings, base.userPostings[off:off+n]...)
+		closeRun(base.utTags[r], start)
 	}
+
+	next := 0 // first user not yet emitted
+	for k := 0; k < len(d); {
+		u := int(d[k].User)
+		e := k
+		for e < len(d) && int(d[e].User) == u {
+			e++
+		}
+		copyUsers(next, u)
+		s.utStart[u] = int32(len(s.utTags))
+		r, rEnd := base.userStart(u), base.userStart(u+1)
+		for k < e {
+			t := d[k].Tag
+			if r < rEnd && base.utTags[r] < t {
+				copyRun(r)
+				r++
+				continue
+			}
+			var old []Triple
+			if r < rEnd && base.utTags[r] == t {
+				off, n := int(base.utOff[r]), int(base.utLen[r])
+				old = base.triples[off : off+n]
+				r++
+			}
+			te := k
+			for te < e && d[te].Tag == t {
+				te++
+			}
+			start := len(s.triples)
+			s.triples = mergeByItem(s.triples, old, d[k:te])
+			for _, tr := range s.triples[start:] {
+				s.userPostings = append(s.userPostings, UserPosting{Item: tr.Item, TF: tr.Count})
+			}
+			slices.SortFunc(s.userPostings[start:], func(a, b UserPosting) int {
+				return byFreq(Posting(a), Posting(b))
+			})
+			closeRun(t, start)
+			k = te
+		}
+		for ; r < rEnd; r++ { // runs after the last touched tag
+			copyRun(r)
+		}
+		next = u + 1
+	}
+	copyUsers(next, s.numUsers)
+	s.utStart[s.numUsers] = int32(len(s.utTags))
+}
+
+// mergeByItem appends the item-ordered union of two item-sorted runs of
+// one (user, tag) to dst, summing counts of equal items.
+func mergeByItem(dst, a, b []Triple) []Triple {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].Item < b[j].Item:
+			dst = append(dst, a[i])
+			i++
+		case a[i].Item > b[j].Item:
+			dst = append(dst, b[j])
+			j++
+		default:
+			tr := a[i]
+			tr.Count += b[j].Count
+			dst = append(dst, tr)
+			i++
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// mergeGlobal derives the global lists and maxTF from base's plus the
+// (tag, item)-sorted delta aggregates agg. Untouched tags share base's
+// list; a touched tag's list drops the items agg updates, and the
+// updated postings (re-sorted among themselves) are merged back in.
+func (s *Store) mergeGlobal(base *Store, agg []Triple) {
+	s.global = make([][]Posting, s.numTags)
+	copy(s.global, base.global)
+	s.maxTF = make([]int32, s.numTags)
+	copy(s.maxTF, base.maxTF)
+	for k := 0; k < len(agg); {
+		t := agg[k].Tag
+		e := k
+		for e < len(agg) && agg[e].Tag == t {
+			e++
+		}
+		seg := agg[k:e] // item-sorted
+		upd := make([]Posting, len(seg))
+		for i, a := range seg {
+			var tf int32
+			if int(a.Item) < base.numItems {
+				tf = base.GlobalTF(a.Item, t)
+			}
+			upd[i] = Posting{Item: a.Item, TF: tf + a.Count}
+		}
+		slices.SortFunc(upd, byFreq)
+
+		old := s.global[t]
+		lst := make([]Posting, 0, len(old)+len(upd))
+		u := 0
+		for _, p := range old {
+			if _, touched := slices.BinarySearchFunc(seg, p.Item, func(a Triple, i ItemID) int {
+				return cmp.Compare(a.Item, i)
+			}); touched {
+				continue
+			}
+			for u < len(upd) && byFreq(upd[u], p) < 0 {
+				lst = append(lst, upd[u])
+				u++
+			}
+			lst = append(lst, p)
+		}
+		lst = append(lst, upd[u:]...)
+		s.global[t] = lst
+		s.maxTF[t] = lst[0].TF
+		k = e
+	}
+}
+
+// itemStart is itStart[i] for items inside s's universe and the end of
+// the item CSR beyond it.
+func (s *Store) itemStart(i int) int {
+	if i < len(s.itStart) {
+		return int(s.itStart[i])
+	}
+	return len(s.itTags)
+}
+
+// mergeItems derives the item CSR from base's plus the (item, tag)-sorted
+// delta aggregates agg: untouched item ranges are block-copied with
+// shifted offsets, touched items merge their tag segments.
+func (s *Store) mergeItems(base *Store, agg []Triple) {
+	s.itStart = make([]int32, s.numItems+1)
+	s.itTags = make([]TagID, 0, len(base.itTags)+len(agg))
+	s.itTF = make([]int32, 0, len(base.itTags)+len(agg))
+	copyItems := func(from, to int) {
+		lo, hi := base.itemStart(from), base.itemStart(to)
+		shift := int32(len(s.itTags) - lo)
+		for i := from; i < to; i++ {
+			s.itStart[i] = int32(base.itemStart(i)) + shift
+		}
+		s.itTags = append(s.itTags, base.itTags[lo:hi]...)
+		s.itTF = append(s.itTF, base.itTF[lo:hi]...)
+	}
+	next := 0
+	for k := 0; k < len(agg); {
+		it := int(agg[k].Item)
+		copyItems(next, it)
+		s.itStart[it] = int32(len(s.itTags))
+		j, jEnd := base.itemStart(it), base.itemStart(it+1)
+		for ; k < len(agg) && int(agg[k].Item) == it; k++ {
+			a := agg[k]
+			for j < jEnd && base.itTags[j] < a.Tag {
+				s.itTags = append(s.itTags, base.itTags[j])
+				s.itTF = append(s.itTF, base.itTF[j])
+				j++
+			}
+			tf := a.Count
+			if j < jEnd && base.itTags[j] == a.Tag {
+				tf += base.itTF[j]
+				j++
+			}
+			s.itTags = append(s.itTags, a.Tag)
+			s.itTF = append(s.itTF, tf)
+		}
+		s.itTags = append(s.itTags, base.itTags[j:jEnd]...)
+		s.itTF = append(s.itTF, base.itTF[j:jEnd]...)
+		next = it + 1
+	}
+	copyItems(next, s.numItems)
+	s.itStart[s.numItems] = int32(len(s.itTags))
 }
 
 // NumUsers reports the user universe size.
@@ -300,11 +489,10 @@ func (s *Store) GlobalList(t TagID) []Posting { return s.global[t] }
 // per-list score ceiling threshold algorithms use.
 func (s *Store) MaxTF(t TagID) int32 { return s.maxTF[t] }
 
-// UserList returns the posting list of (user u, tag t), sorted by
-// descending frequency, or nil when u never used t. The lookup is a
-// binary search over u's (small, sorted) tag segment in the flat CSR —
-// no hashing, no pointer chasing.
-func (s *Store) UserList(u int32, t TagID) []UserPosting {
+// findRun locates the (user u, tag t) run by binary search over u's
+// (small, sorted) tag segment in the flat CSR — no hashing, no pointer
+// chasing.
+func (s *Store) findRun(u int32, t TagID) (int32, bool) {
 	lo, hi := s.utStart[u], s.utStart[u+1]
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -314,8 +502,14 @@ func (s *Store) UserList(u int32, t TagID) []UserPosting {
 			hi = mid
 		}
 	}
-	if lo < s.utStart[u+1] && s.utTags[lo] == t {
-		off, n := s.utOff[lo], s.utLen[lo]
+	return lo, lo < s.utStart[u+1] && s.utTags[lo] == t
+}
+
+// UserList returns the posting list of (user u, tag t), sorted by
+// descending frequency, or nil when u never used t.
+func (s *Store) UserList(u int32, t TagID) []UserPosting {
+	if r, ok := s.findRun(u, t); ok {
+		off, n := s.utOff[r], s.utLen[r]
 		return s.userPostings[off : off+n]
 	}
 	return nil
@@ -327,9 +521,25 @@ func (s *Store) UserTags(u int32) []TagID {
 	return s.utTags[s.utStart[u]:s.utStart[u+1]]
 }
 
-// TF returns tf(u, i, t): how many times user u applied tag t to item i.
+// TF returns tf(u, i, t): how many times user u applied tag t to item i
+// (0 for ids outside the universe). Two binary searches: the (u, t) run
+// in u's tag segment, then item i in that run's item-sorted triples.
 func (s *Store) TF(u int32, i ItemID, t TagID) int32 {
-	return s.point[packUIT(u, i, t)]
+	if u < 0 || int(u) >= s.numUsers {
+		return 0
+	}
+	r, ok := s.findRun(u, t)
+	if !ok {
+		return 0
+	}
+	off, n := s.utOff[r], s.utLen[r]
+	run := s.triples[off : off+n]
+	if k, ok := slices.BinarySearchFunc(run, i, func(tr Triple, i ItemID) int {
+		return cmp.Compare(tr.Item, i)
+	}); ok {
+		return run[k].Count
+	}
+	return 0
 }
 
 // GlobalTF returns the total frequency of tag t on item i across users:
